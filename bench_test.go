@@ -176,9 +176,9 @@ func BenchmarkAblationTopology(b *testing.B) {
 // ---- Component micro-benchmarks ----
 
 // BenchmarkParallelModelQFT measures one parallel-model evaluation of the
-// largest Table II workload (QFT: 4032 2-qubit gates) on the kernelized
-// hot path: the flat-array evaluator is built once (as core.Run does per
-// circuit) and each op re-evaluates it against the layout.
+// largest Table II workload (QFT: 4032 2-qubit gates) through the
+// finish-time kernel: the circuit is bound to its layout once (as the
+// stage pipeline does per trial) and each op prices the binding.
 func BenchmarkParallelModelQFT(b *testing.B) {
 	spec := apps.PaperSpecs()[3]
 	d, err := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
@@ -195,32 +195,14 @@ func BenchmarkParallelModelQFT(b *testing.B) {
 		b.Fatal(err)
 	}
 	lat := perf.DefaultLatencies()
-	ev := perf.NewEvaluator(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ev.ParallelTime(layout, lat) <= 0 {
-			b.Fatal("bad time")
-		}
-	}
-}
-
-// BenchmarkLegacyParallelModelQFT pins the pre-kernelization map-graph
-// path (perf.ParallelTime) so the evaluator's advantage stays measurable.
-func BenchmarkLegacyParallelModelQFT(b *testing.B) {
-	spec := apps.PaperSpecs()[3]
-	d, _ := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
-	r := stats.NewRand(1)
-	layout, _ := RandomPlacement.Place(d, spec.Qubits, r)
-	c, err := schedule.Random{}.Place(spec, layout, r)
+	bd, err := perf.NewEvaluator(c).Bind(layout)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lat := perf.DefaultLatencies()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if perf.ParallelTime(c, layout, lat) <= 0 {
+		if bd.ParallelTime(lat) <= 0 {
 			b.Fatal("bad time")
 		}
 	}
@@ -228,8 +210,8 @@ func BenchmarkLegacyParallelModelQFT(b *testing.B) {
 
 // BenchmarkGateGraphConstruction measures the paper's directed-graph
 // representation build (§IV-C) plus longest path for the QFT workload —
-// one full from-scratch construction per op, now through the CSR
-// evaluator kernel instead of the map-based dag.Graph.
+// one full from-scratch construction per op: the evaluator's lazy
+// dependency CSR with Figure 3's edge weights (Evaluator.LongestPath).
 func BenchmarkGateGraphConstruction(b *testing.B) {
 	spec := apps.PaperSpecs()[3]
 	d, _ := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
@@ -246,28 +228,6 @@ func BenchmarkGateGraphConstruction(b *testing.B) {
 		ev := perf.NewEvaluator(c)
 		if ev.LongestPath(layout, lat) <= 0 {
 			b.Fatal("bad length")
-		}
-	}
-}
-
-// BenchmarkLegacyGateGraphConstruction pins the original map-based graph
-// build (perf.BuildGateGraph + Kahn longest path) for comparison.
-func BenchmarkLegacyGateGraphConstruction(b *testing.B) {
-	spec := apps.PaperSpecs()[3]
-	d, _ := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
-	r := stats.NewRand(1)
-	layout, _ := RandomPlacement.Place(d, spec.Qubits, r)
-	c, err := schedule.Random{}.Place(spec, layout, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lat := perf.DefaultLatencies()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := perf.BuildGateGraph(c, layout, lat)
-		if _, err := g.LongestPath(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -450,7 +410,7 @@ func BenchmarkLegacyScalingAlphaSweep(b *testing.B) {
 // small/large benchmark pair: the SAME 64 qubits, layout, and gate mix —
 // only the gate count differs. Holding the width fixed makes the pair's
 // B/op ratio a pure working-set measurement: the frontier kernel's memory
-// scales with qubits and the chunk window, never with total gates, so the
+// scales with qubits and lanes, never with total gates, so the
 // committed baseline gates B/op and allocs/op of Large at <= 1.1x Small
 // while the gate count grows 100x (the streaming-memory-flat ratio in
 // BENCH_BASELINE.json).

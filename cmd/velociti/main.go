@@ -270,8 +270,8 @@ func run(args []string, out io.Writer) error {
 				breakEven)
 		}
 		if *dotPath != "" {
-			g := perf.BuildGateGraph(c, layout, cfg.Latencies)
-			if err := os.WriteFile(*dotPath, []byte(g.DOT(report.Spec.Name)), 0o644); err != nil {
+			dot := perf.DOT(report.Spec.Name, c, layout, cfg.Latencies)
+			if err := os.WriteFile(*dotPath, []byte(dot), 0o644); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "wrote dependency graph to %s\n", *dotPath)

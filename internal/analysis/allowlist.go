@@ -13,7 +13,7 @@ import (
 // the module root and the enclosing function, separated by whitespace:
 //
 //	# reason the panic is a programmer-bug invariant
-//	internal/dag/dag.go Graph.Label
+//	internal/perf/evaluator.go Evaluator.LongestPath
 //
 // Entries are matched exactly; a panic site not listed is a finding,
 // and a listed entry that no longer matches any panic site is also a

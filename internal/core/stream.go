@@ -5,7 +5,7 @@ package core
 // materialize. One streaming trial places qubits, then pushes the
 // workload's gates straight through the backend's frontier kernel
 // (perf.SourceTimer), pricing every requested timing model in one pass.
-// Peak memory is O(qubits + chunk), independent of the gate count.
+// Peak memory is O(qubits·lanes), independent of the gate count.
 //
 // Equivalence contract (pinned by stream_test.go): for every workload
 // form — explicit circuit, circuit.Program, or spec+placer — a streaming

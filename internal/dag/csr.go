@@ -1,12 +1,22 @@
+// Package dag holds the index-based longest-path kernels behind the
+// edge-weighted form of VelociTI's parallel model (§IV-C/D of the paper):
+// the gate-dependency graph with Figure 3's edge weights, where a gate's
+// latency lives on its incoming edges.
+//
+// CSR is a read-only compressed-sparse-row snapshot over dense int32 node
+// ids; LongestPath walks it once, allocation-free when the caller reuses a
+// Scratch. Delta (delta.go) keeps the per-node distances of one CSR up to
+// date under edge-weight changes, re-relaxing only the affected cone —
+// the incremental evaluator simulated-annealing placement runs on. The
+// parallel model's plain finish times do not need a graph at all: the
+// per-qubit frontier kernel in internal/perf computes them directly.
 package dag
 
-// This file holds the index-based longest-path kernel the performance
-// model's hot path runs on. The map-backed Graph is convenient to build and
-// mutate, but the evaluation loop (35 randomized trials per data point,
-// thousands of data points per sweep) only ever needs one read-only
-// traversal per graph — for that, a compressed-sparse-row layout over dense
-// int32 ids beats pointer-chasing through maps by an order of magnitude and
-// allocates nothing when the caller reuses a Scratch.
+import "errors"
+
+// ErrCycle is returned by algorithms that require acyclicity when the graph
+// contains a directed cycle.
+var ErrCycle = errors.New("dag: graph contains a cycle")
 
 // CSR is a compressed-sparse-row snapshot of a weighted directed graph.
 // Node ids are dense [0, NumNodes). The successors of node u are
@@ -38,32 +48,6 @@ func (c *CSR) NumNodes() int {
 // NumEdges returns the number of edges in the snapshot.
 func (c *CSR) NumEdges() int { return len(c.Targets) }
 
-// CSR converts the graph into its compressed-sparse-row form. Successors of
-// each node appear in ascending target order, matching Successors. Forward
-// is set when every edge points from a lower to a higher id.
-func (g *Graph) CSR() CSR {
-	n := len(g.labels)
-	heads := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		heads[u+1] = heads[u] + int32(len(g.succ[u]))
-	}
-	targets := make([]int32, g.edges)
-	weights := make([]float64, g.edges)
-	forward := true
-	for u := 0; u < n; u++ {
-		at := heads[u]
-		for _, v := range g.Successors(u) {
-			targets[at] = int32(v)
-			weights[at] = g.succ[u][v]
-			if v <= u {
-				forward = false
-			}
-			at++
-		}
-	}
-	return CSR{Heads: heads, Targets: targets, Weights: weights, Forward: forward}
-}
-
 // Scratch holds the reusable working memory of the CSR kernels. The zero
 // value is ready to use; buffers grow on demand and are retained across
 // calls, so a Scratch kept in a sync.Pool makes repeated longest-path
@@ -91,8 +75,7 @@ func (s *Scratch) grow(n int) (dist []float64, indeg, queue []int32) {
 }
 
 // LongestPath computes the maximum total edge weight over all directed
-// paths in the snapshot — the same quantity as Graph.LongestPath().Length,
-// without building path bookkeeping. scratch may be nil (a temporary one is
+// paths in the snapshot, without building path bookkeeping. scratch may be nil (a temporary one is
 // used); passing one kept in a pool makes the call allocation-free. Returns
 // ErrCycle when the snapshot is cyclic.
 func (c *CSR) LongestPath(scratch *Scratch) (float64, error) {

@@ -10,10 +10,11 @@ package perf
 // and lets TimeAll price many latency models in a single pass over the
 // gate list instead of one independent dynamic program per model.
 //
-// Bit-exactness contract: Binding.Time(lat) equals Evaluator.Evaluate(l,
-// lat) field for field — including float bit patterns and critical-path
-// tie-breaking — and TimeAll(lats)[i] equals Time(lats[i]). The property
-// tests pin both.
+// Pricing runs the one finish-time kernel (kernel.go) over the binding's
+// operand and class arrays. Bit-exactness contract: Binding.Time(lat)
+// equals Evaluate(c, l, lat) field for field — including float bit
+// patterns and critical-path tie-breaking — and TimeAll(lats)[i] equals
+// Time(lats[i]). The property tests pin both.
 
 import (
 	"fmt"
@@ -62,136 +63,108 @@ func (e *Evaluator) Bind(l *ti.Layout) (*Binding, error) {
 	if e.c.NumQubits() > l.NumQubits() {
 		return nil, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", e.c.NumQubits(), l.NumQubits())
 	}
-	b := &Binding{ev: e, classes: make([]GateClass, e.n)}
-	// One walk both classifies gates and tallies Table I's w (distinct
-	// weak links used): the chain pair is resolved once per gate instead
-	// of re-deriving it in a second linksUsed pass. The pair→link table
-	// mirrors linksUsed exactly, so the counts agree.
-	s, pairLink, used, nc := newBindScratch(l)
-	// chainOf is indexed directly: qa/qb were range-checked when the gates
-	// were appended, and a fresh classes slice is already ClassOneQ (zero),
-	// so 1-qubit gates need no store at all.
-	chainOf := l.ChainAssignments()
-	for i := 0; i < e.n; i++ {
-		if !e.twoQ[i] {
-			continue
-		}
-		ca, cb := chainOf[e.qa[i]], chainOf[e.qb[i]]
-		if ca == cb {
-			b.classes[i] = ClassTwoQIntra
-			continue
-		}
-		b.classes[i] = ClassTwoQWeak
-		b.weak++
-		if id := pairLink[ca*nc+cb]; id != 0 && !used[id-1] {
-			used[id-1] = true
-			b.links++
-		}
-	}
-	bindScratchPool.Put(s)
-	return b, nil
+	return e.bind(l), nil
 }
 
-// newBindScratch readies the pooled pair→link table and usage bitmap for
-// one classification walk over layout l's device.
-func newBindScratch(l *ti.Layout) (s *bindScratch, pairLink []int32, used []bool, nc int) {
-	d := l.Device()
-	nc = d.NumChains()
-	s = bindScratchPool.Get().(*bindScratch)
-	if cap(s.pairLink) < nc*nc {
-		s.pairLink = make([]int32, nc*nc)
+// bind is Bind without the width check: a gate on a qubit the layout does
+// not place fails the chain lookup. A fresh classes slice is already
+// ClassOneQ (zero), so 1-qubit gates need no store.
+func (e *Evaluator) bind(l *ti.Layout) *Binding {
+	b := &Binding{ev: e, classes: make([]GateClass, e.n)}
+	cl := newClassifier(l)
+	for i := 0; i < e.n; i++ {
+		if e.twoQ[i] {
+			b.classes[i] = cl.twoQubit(int(e.qa[i]), int(e.qb[i]))
+		}
 	}
-	pairLink = s.pairLink[:nc*nc]
-	for i := range pairLink {
-		pairLink[i] = 0
-	}
-	for i := len(d.WeakLinks()) - 1; i >= 0; i-- {
-		wl := d.WeakLinks()[i]
-		pairLink[wl.A.Chain*nc+wl.B.Chain] = int32(wl.ID) + 1
-		pairLink[wl.B.Chain*nc+wl.A.Chain] = int32(wl.ID) + 1
-	}
-	if cap(s.used) < d.MaxWeakLinks()+1 {
-		s.used = make([]bool, d.MaxWeakLinks()+1)
-	}
-	used = s.used[:d.MaxWeakLinks()+1]
-	for i := range used {
-		used[i] = false
-	}
-	return s, pairLink, used, nc
+	b.weak, b.links = cl.weak, cl.links
+	cl.release()
+	return b
 }
 
 // BindCircuitScratch builds a pooled evaluator for c and its binding under
-// l in ONE walk over the gate list — operand extraction and gate
-// classification share the pass, where NewEvaluatorScratch followed by
-// Bind would walk the gates twice. The result is indistinguishable from
-// that two-step sequence (the sweep property tests pin it against
-// Stages.Bind); the same recycling contract applies, via
+// l. The result is indistinguishable from NewEvaluator followed by Bind
+// (the sweep property tests pin it against Stages.Bind); recycle it via
 // RecycleEvaluator(b.Evaluator()).
 func BindCircuitScratch(c *circuit.Circuit, l *ti.Layout) (*Binding, error) {
 	if c.NumQubits() > l.NumQubits() {
 		return nil, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", c.NumQubits(), l.NumQubits())
 	}
+	return bindCircuit(c, l), nil
+}
+
+// bindCircuit is BindCircuitScratch without the width check.
+func bindCircuit(c *circuit.Circuit, l *ti.Layout) *Binding {
 	e, _ := evaluatorPool.Get().(*Evaluator)
 	if e == nil {
 		e = &Evaluator{}
 	}
-	n := c.NumGates()
-	e.c = c
-	e.n = n
-	e.oneQGates, e.twoQGates = 0, 0
-	e.once = new(evalOnce)
-	e.labels = nil
-	e.qa = growInt32(e.qa, n)
-	e.qb = growInt32(e.qb, n)
-	if cap(e.twoQ) < n {
-		e.twoQ = make([]bool, n)
-	}
-	e.twoQ = e.twoQ[:n]
-
-	b := &Binding{ev: e, classes: make([]GateClass, n)}
-	s, pairLink, used, nc := newBindScratch(l)
-	chainOf := l.ChainAssignments()
-	gs := c.Gates()
-	for i := range gs {
-		g := &gs[i]
-		id := int32(g.ID)
-		qa := int32(g.Qubits[0])
-		e.qa[id] = qa
-		e.qb[id] = -1
-		e.twoQ[id] = false
-		if !g.IsTwoQubit() {
-			if len(g.Qubits) == 1 {
-				e.oneQGates++
-			}
-			continue
-		}
-		qb := int32(g.Qubits[1])
-		e.twoQ[id] = true
-		e.qb[id] = qb
-		e.twoQGates++
-		ca, cb := chainOf[qa], chainOf[qb]
-		if ca == cb {
-			b.classes[id] = ClassTwoQIntra
-			continue
-		}
-		b.classes[id] = ClassTwoQWeak
-		b.weak++
-		if wid := pairLink[ca*nc+cb]; wid != 0 && !used[wid-1] {
-			used[wid-1] = true
-			b.links++
-		}
-	}
-	bindScratchPool.Put(s)
-	return b, nil
+	return e.build(c).bind(l)
 }
 
-// bindScratch is the pooled pair→link table and usage bitmap of one Bind.
+// classifier sorts 2-qubit gates into latency classes against one layout
+// and tallies the weak (cross-chain) gates and Table I's w, the distinct
+// weak links used: a cross-chain gate between directly linked chains uses
+// the lowest-numbered link joining them, exactly as LinksUsed counts.
+type classifier struct {
+	chainOf  []int
+	pairLink []int32 // pairLink[ca*nc+cb]: 1 + lowest link id joining the chains, 0 if none
+	used     []bool  // used[id]: link id already counted
+	nc       int
+	scratch  *bindScratch
+
+	weak, links int
+}
+
+// bindScratch is the pooled pair→link table and usage bitmap of one
+// classifier.
 type bindScratch struct {
 	pairLink []int32
 	used     []bool
 }
 
 var bindScratchPool = sync.Pool{New: func() any { return new(bindScratch) }}
+
+// newClassifier readies a classifier for layout l over pooled tables.
+func newClassifier(l *ti.Layout) classifier {
+	d := l.Device()
+	nc := d.NumChains()
+	s := bindScratchPool.Get().(*bindScratch)
+	s.pairLink = fillInt32(s.pairLink, nc*nc, 0)
+	for i := len(d.WeakLinks()) - 1; i >= 0; i-- {
+		wl := d.WeakLinks()[i]
+		s.pairLink[wl.A.Chain*nc+wl.B.Chain] = int32(wl.ID) + 1
+		s.pairLink[wl.B.Chain*nc+wl.A.Chain] = int32(wl.ID) + 1
+	}
+	if cap(s.used) < d.MaxWeakLinks()+1 {
+		s.used = make([]bool, d.MaxWeakLinks()+1)
+	}
+	s.used = s.used[:d.MaxWeakLinks()+1]
+	for i := range s.used {
+		s.used[i] = false
+	}
+	return classifier{chainOf: l.ChainAssignments(), pairLink: s.pairLink, used: s.used, nc: nc, scratch: s}
+}
+
+// twoQubit classifies a 2-qubit gate on qubits qa and qb.
+func (c *classifier) twoQubit(qa, qb int) GateClass {
+	ca, cb := c.chainOf[qa], c.chainOf[qb]
+	if ca == cb {
+		return ClassTwoQIntra
+	}
+	c.weak++
+	if id := c.pairLink[ca*c.nc+cb]; id != 0 && !c.used[id-1] {
+		c.used[id-1] = true
+		c.links++
+	}
+	return ClassTwoQWeak
+}
+
+// release returns the classifier's tables to the pool.
+func (c *classifier) release() {
+	bindScratchPool.Put(c.scratch)
+	c.scratch = nil
+}
 
 // Evaluator returns the evaluator the binding was built from.
 func (b *Binding) Evaluator() *Evaluator { return b.ev }
@@ -215,58 +188,28 @@ func (b *Binding) WeakGates() int { return b.weak }
 // LinksUsed returns Table I's w: distinct weak links used by placement.
 func (b *Binding) LinksUsed() int { return b.links }
 
-// lut returns the per-class latency table for one timing model. The weak
-// entry is computed exactly as gateLatencies computes it (one multiply), so
-// priced latencies are bit-identical to the classic path.
-func classLatencies(lat Latencies) [numClasses]float64 {
-	return [numClasses]float64{
-		ClassOneQ:      lat.OneQubit,
-		ClassTwoQIntra: lat.TwoQubit,
-		ClassTwoQWeak:  lat.WeakPenalty * lat.TwoQubit,
+// run feeds the binding's gates through k in program order. With tp
+// non-nil, weak gates hand the kernel their transport segments; with
+// perGate set, the kernel's latency table is indexed by gate id instead
+// of gate class.
+func (b *Binding) run(k *kernel, tp *transportPlan, perGate bool) {
+	e := b.ev
+	for i := 0; i < e.n; i++ {
+		idx := int(b.classes[i])
+		var segs []int32
+		if tp != nil && b.classes[i] == ClassTwoQWeak {
+			segs = tp.segIDs[tp.segStart[i]:tp.segStart[i+1]]
+		}
+		if perGate {
+			idx = i
+		}
+		k.gate(int32(i), e.qa[i], e.qb[i], idx, segs)
 	}
 }
 
-// sweepScratch is the pooled working memory of a multi-latency evaluation:
-// lane-interleaved finish/prev buffers (gate-major, so one gate's lanes sit
-// contiguously) plus the shared last-writer table.
-type sweepScratch struct {
-	finish []float64
-	prev   []int32
-	last   []int32
-	luts   []float64 // flat per-lane class-latency tables (NumGateClasses × lanes)
-	busy   []float64 // per-(segment, lane) busy-until times for transport contention
-}
-
-var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
-
-// growLuts sizes the flat per-lane latency table for nl lanes.
-func (s *sweepScratch) growLuts(nl int) []float64 {
-	if cap(s.luts) < NumGateClasses*nl {
-		s.luts = make([]float64, NumGateClasses*nl)
-	}
-	s.luts = s.luts[:NumGateClasses*nl]
-	return s.luts
-}
-
-func (s *sweepScratch) grow(cells, qubits int) {
-	if cap(s.finish) < cells {
-		s.finish = make([]float64, cells)
-		s.prev = make([]int32, cells)
-	}
-	s.finish = s.finish[:cells]
-	s.prev = s.prev[:cells]
-	if cap(s.last) < qubits {
-		s.last = make([]int32, qubits)
-	}
-	s.last = s.last[:qubits]
-	for i := range s.last {
-		s.last[i] = -1
-	}
-}
-
-// Time prices the binding under one timing model. The Result is exactly
-// equal — bit for bit, critical path included — to
-// Evaluator.Evaluate(layout, lat) on the layout the binding was built from.
+// Time prices the binding under one timing model. The Result equals
+// Evaluate(c, layout, lat) on the circuit and layout the binding was
+// built from, bit for bit, critical path included.
 func (b *Binding) Time(lat Latencies) (Result, error) {
 	res, err := b.TimeAll([]Latencies{lat})
 	if err != nil {
@@ -275,17 +218,20 @@ func (b *Binding) Time(lat Latencies) (Result, error) {
 	return res[0], nil
 }
 
-// TimeAll prices the binding under every timing model in lats with one pass
-// over the gate list: the dependency traversal, last-writer tracking, and
-// class lookups are shared across models, and per-model finish times run in
-// interleaved lanes over pooled scratch. TimeAll(lats)[i] is exactly equal
-// to Time(lats[i]) — this is the parametric kernel behind α sweeps, where
-// the models differ only in WeakPenalty.
+// TimeAll prices the binding under every timing model in lats with one
+// pass over the gate list, one kernel lane per model. TimeAll(lats)[i]
+// equals Time(lats[i]) bit for bit — this is the parametric kernel behind
+// α sweeps, where the models differ only in WeakPenalty.
 func (b *Binding) TimeAll(lats []Latencies) ([]Result, error) {
-	nl := len(lats)
-	if nl == 0 {
+	if len(lats) == 0 {
 		return nil, fmt.Errorf("perf: TimeAll requires at least one timing model")
 	}
+	return b.timeAll(lats, nil, TransportCosts{})
+}
+
+// timeAll validates lats and prices them with critical paths, under the
+// transport plan tp when it is non-nil.
+func (b *Binding) timeAll(lats []Latencies, tp *transportPlan, costs TransportCosts) ([]Result, error) {
 	for _, lat := range lats {
 		if err := lat.Validate(); err != nil {
 			return nil, err
@@ -296,10 +242,11 @@ func (b *Binding) TimeAll(lats []Latencies) ([]Result, error) {
 	if w > e.twoQGates {
 		w = e.twoQGates
 	}
-	results := make([]Result, nl)
-	luts := make([][numClasses]float64, nl)
+	results := make([]Result, len(lats))
 	for j, lat := range lats {
-		luts[j] = classLatencies(lat)
+		if tp != nil {
+			lat.WeakPenalty = 1
+		}
 		results[j] = Result{
 			SerialMicros: SerialTimeFromCounts(e.oneQGates, e.twoQGates, w, lat),
 			WeakGates:    b.weak,
@@ -309,118 +256,40 @@ func (b *Binding) TimeAll(lats []Latencies) ([]Result, error) {
 	if e.n == 0 {
 		return results, nil
 	}
-
-	s := sweepPool.Get().(*sweepScratch)
-	s.grow(e.n*nl, e.c.NumQubits())
-	finish, prev, last := s.finish, s.prev, s.last
-
-	// serial accumulates the per-gate-charged serial worst case per lane in
-	// gate order — the same addition order Evaluate uses, so sums match bit
-	// for bit. total/best track the makespan and its final gate per lane
-	// with Evaluate's strict-> tie-breaking (first maximum wins).
-	serial := make([]float64, nl)
-	total := make([]float64, nl)
-	best := make([]int32, nl)
-
-	for i := 0; i < e.n; i++ {
-		p0 := last[e.qa[i]]
-		p1 := int32(-1)
-		if qb := e.qb[i]; qb >= 0 {
-			p1 = last[qb]
-		}
-		class := b.classes[i]
-		base := i * nl
-		for j := 0; j < nl; j++ {
-			ready := 0.0
-			pr := int32(-1)
-			if p0 >= 0 && finish[int(p0)*nl+j] > ready {
-				ready = finish[int(p0)*nl+j]
-				pr = p0
-			}
-			if p1 >= 0 && finish[int(p1)*nl+j] > ready {
-				ready = finish[int(p1)*nl+j]
-				pr = p1
-			}
-			d := luts[j][class]
-			f := ready + d
-			finish[base+j] = f
-			prev[base+j] = pr
-			serial[j] += d
-			if f > total[j] {
-				total[j] = f
-				best[j] = int32(i)
-			}
-		}
-		last[e.qa[i]] = int32(i)
-		if qb := e.qb[i]; qb >= 0 {
-			last[qb] = int32(i)
-		}
+	k := newKernel(len(lats), e.c.NumQubits())
+	k.classTables(lats, tp != nil)
+	k.trackPath(e.n)
+	if tp != nil {
+		k.withTransport(costs, tp.numSegs)
 	}
-
-	labels := e.Labels()
-	for j := 0; j < nl; j++ {
-		results[j].SerialPerGateMicros = serial[j]
-		results[j].ParallelMicros = total[j]
-		depth := 0
-		for at := best[j]; at != -1; at = prev[int(at)*nl+j] {
-			depth++
+	b.run(k, tp, false)
+	paths := k.criticalPaths(e.qa, e.qb)
+	for j := range results {
+		if tp != nil {
+			results[j].SerialMicros += k.moved
 		}
-		path := make([]string, depth)
-		for at := best[j]; at != -1; at = prev[int(at)*nl+j] {
-			depth--
-			path[depth] = labels[at]
-		}
-		results[j].CriticalPath = path
+		results[j].SerialPerGateMicros = k.serial[j]
+		results[j].ParallelMicros = k.total[j]
+		results[j].CriticalPath = paths[j]
 	}
-	sweepPool.Put(s)
+	k.release()
 	return results, nil
 }
 
 // ParallelTime prices only the parallel model — the makespan under ASAP
-// scheduling — for one timing model, with no critical-path bookkeeping. It
-// equals Time(lat).ParallelMicros exactly; fidelity estimation uses it for
-// the dephasing window.
+// scheduling — for one timing model, with no critical-path bookkeeping.
+// It equals Time(lat).ParallelMicros exactly; fidelity estimation uses it
+// for the dephasing window. Like ParallelTimeAll, it assumes an already
+// validated timing model.
 func (b *Binding) ParallelTime(lat Latencies) float64 {
-	e := b.ev
-	if e.n == 0 {
-		return 0
-	}
-	lut := classLatencies(lat)
-	s := sweepPool.Get().(*sweepScratch)
-	s.grow(e.n, e.c.NumQubits())
-	finish, last := s.finish, s.last
-	total := 0.0
-	for i := 0; i < e.n; i++ {
-		ready := 0.0
-		if p := last[e.qa[i]]; p >= 0 && finish[p] > ready {
-			ready = finish[p]
-		}
-		if qb := e.qb[i]; qb >= 0 {
-			if p := last[qb]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
-		f := ready + lut[b.classes[i]]
-		finish[i] = f
-		last[e.qa[i]] = int32(i)
-		if qb := e.qb[i]; qb >= 0 {
-			last[qb] = int32(i)
-		}
-		if f > total {
-			total = f
-		}
-	}
-	sweepPool.Put(s)
-	return total
+	var dst [1]float64
+	return b.ParallelTimeAll([]Latencies{lat}, dst[:0])[0]
 }
 
-// ParallelTimeAll prices the makespan under every timing model in lats with
-// one pass over the gate list — the batched counterpart of ParallelTime,
-// sharing the dependency traversal and last-writer tracking across models
-// the way TimeAll does, but with none of the serial or critical-path
+// ParallelTimeAll prices the makespan under every timing model in lats
+// with one pass over the gate list, with none of the critical-path
 // bookkeeping. dst is reused when it has capacity; the returned slice has
-// len(lats), and entry j equals ParallelTime(lats[j]) bit for bit (same
-// per-gate comparison order, same strict-> maximum tracking). Like
+// len(lats), and entry j equals ParallelTime(lats[j]) bit for bit. Like
 // ParallelTime, it assumes already validated timing models.
 func (b *Binding) ParallelTimeAll(lats []Latencies, dst []float64) []float64 {
 	nl := len(lats)
@@ -428,78 +297,32 @@ func (b *Binding) ParallelTimeAll(lats []Latencies, dst []float64) []float64 {
 		dst = make([]float64, nl)
 	}
 	dst = dst[:nl]
-	if nl == 0 {
-		return dst
-	}
-	if nl == 1 {
-		dst[0] = b.ParallelTime(lats[0])
-		return dst
-	}
 	for j := range dst {
 		dst[j] = 0
 	}
-	e := b.ev
-	if e.n == 0 {
+	if nl == 0 || b.ev.n == 0 {
 		return dst
 	}
-	s := sweepPool.Get().(*sweepScratch)
-	s.grow(e.n*nl, e.c.NumQubits())
-	luts := s.growLuts(nl)
-	for j, lat := range lats {
-		cl := classLatencies(lat)
-		copy(luts[j*NumGateClasses:], cl[:])
-	}
-	finish, last := s.finish, s.last
-	for i := 0; i < e.n; i++ {
-		p0 := last[e.qa[i]]
-		p1 := int32(-1)
-		if qb := e.qb[i]; qb >= 0 {
-			p1 = last[qb]
-		}
-		class := int(b.classes[i])
-		// Hoisted per-gate row views: one multiply per predecessor instead
-		// of one per (predecessor, lane). The lane loop's comparison order
-		// is unchanged, so results stay bit-identical to ParallelTime.
-		var f0, f1 []float64
-		if p0 >= 0 {
-			f0 = finish[int(p0)*nl : int(p0)*nl+nl]
-		}
-		if p1 >= 0 {
-			f1 = finish[int(p1)*nl : int(p1)*nl+nl]
-		}
-		row := finish[i*nl : i*nl+nl]
-		for j := 0; j < nl; j++ {
-			ready := 0.0
-			if f0 != nil && f0[j] > ready {
-				ready = f0[j]
-			}
-			if f1 != nil && f1[j] > ready {
-				ready = f1[j]
-			}
-			f := ready + luts[j*NumGateClasses+class]
-			row[j] = f
-			if f > dst[j] {
-				dst[j] = f
-			}
-		}
-		last[e.qa[i]] = int32(i)
-		if qb := e.qb[i]; qb >= 0 {
-			last[qb] = int32(i)
-		}
-	}
-	sweepPool.Put(s)
+	k := newKernel(nl, b.ev.c.NumQubits())
+	k.classTables(lats, false)
+	b.run(k, nil, false)
+	copy(dst, k.total)
+	k.release()
 	return dst
 }
 
-// EvaluateAll runs both performance models for one layout under every
-// timing model in lats, sharing the gate classification and the dependency
-// traversal across models. EvaluateAll(l, lats)[i] is exactly equal to
-// Evaluate(l, lats[i]); with the models of an α sweep it replaces len(lats)
-// independent dynamic programs by one multi-lane pass.
-func (e *Evaluator) EvaluateAll(l *ti.Layout, lats []Latencies) ([]Result, error) {
-	b, err := e.Bind(l)
-	if err != nil {
-		return nil, err
+// ParallelTimeTable prices the makespan with an arbitrary per-gate latency
+// table — latency[i] is gate i's latency — instead of a timing model: the
+// hook alternative communication substrates (internal/shuttle's transport
+// comparison) price their cost models through.
+func (b *Binding) ParallelTimeTable(latency []float64) float64 {
+	if b.ev.n == 0 {
+		return 0
 	}
-	return b.TimeAll(lats)
+	k := newKernel(1, b.ev.c.NumQubits())
+	k.gateTable(latency[:b.ev.n])
+	b.run(k, nil, true)
+	total := k.total[0]
+	k.release()
+	return total
 }

@@ -37,7 +37,7 @@ func checkKernel(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lat
 	}
 	want := make([]perf.Result, len(lats))
 	for i, lat := range lats {
-		want[i], err = e.Evaluate(l, lat)
+		want[i], err = perf.Evaluate(c, l, lat)
 		if err != nil {
 			t.Fatalf("%s: Evaluate: %v", tag, err)
 		}
@@ -60,13 +60,22 @@ func checkKernel(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lat
 	if !reflect.DeepEqual(all, want) {
 		t.Fatalf("%s: TimeAll lanes diverge from repeated Evaluate\n got %+v\nwant %+v", tag, all, want)
 	}
-	viaEval, err := e.EvaluateAll(l, lats)
+	viaEval, err := evaluateAll(e, l, lats)
 	if err != nil {
-		t.Fatalf("%s: EvaluateAll: %v", tag, err)
+		t.Fatalf("%s: Bind+TimeAll: %v", tag, err)
 	}
 	if !reflect.DeepEqual(viaEval, want) {
-		t.Fatalf("%s: EvaluateAll diverges from repeated Evaluate", tag)
+		t.Fatalf("%s: Bind+TimeAll diverges from repeated Evaluate", tag)
 	}
+}
+
+// evaluateAll binds one layout through e and prices every model in lats.
+func evaluateAll(e *perf.Evaluator, l *ti.Layout, lats []perf.Latencies) ([]perf.Result, error) {
+	b, err := e.Bind(l)
+	if err != nil {
+		return nil, err
+	}
+	return b.TimeAll(lats)
 }
 
 // TestEvaluateAllMatchesRepeatedEvaluate is the kernel's headline property:
@@ -245,4 +254,42 @@ func TestBindingConcurrentTimeAll(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", w, err)
 		}
 	}
+}
+
+// TestTimeAllAllocsBoundedByCriticalPath guards the labeling cost of a
+// fresh binding: pricing a 10⁴-gate circuit allocates its results, the
+// critical path's labels, and a constant amount of bookkeeping — never a
+// label (or anything else) per gate.
+func TestTimeAllAllocsBoundedByCriticalPath(t *testing.T) {
+	c := genc(t)(workload.RandomCircuit(64, 10_000, 0.3, 11))
+	d, err := ti.DeviceFor(64, 16, ti.Ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := placement.Random{}.Place(d, 64, stats.NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lats := sweepLats([]float64{2.0})
+	var pathLen int
+	allocs := testing.AllocsPerRun(5, func() {
+		b, err := perf.NewEvaluator(c).Bind(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := b.TimeAll(lats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pathLen = len(rs[0].CriticalPath)
+	})
+	if pathLen == 0 {
+		t.Fatal("empty critical path")
+	}
+	const overhead = 32
+	if limit := float64(pathLen + overhead); allocs > limit {
+		t.Fatalf("fresh Bind+TimeAll on %d gates made %.0f allocations, want at most %.0f (critical path %d gates + %d)",
+			c.NumGates(), allocs, limit, pathLen, overhead)
+	}
+	t.Logf("%.0f allocations for a %d-gate critical path over %d gates", allocs, pathLen, c.NumGates())
 }

@@ -1,15 +1,12 @@
 package perf
 
-// This file kernelizes the framework's hot path. Every data point in the
-// paper's evaluation averages 35 randomized trials, and each trial needs
-// the parallel model over the gate dependency graph. The generic path
-// (BuildGateGraph + dag.Graph.LongestPath, or the per-call slices of
-// ParallelTime/Evaluate) allocates maps and slices on every evaluation; an
-// Evaluator instead flattens the circuit's dependency structure once into
-// CSR-style int32 arrays and evaluates layouts against it using
-// sync.Pool-backed scratch memory, so repeated trials over the same circuit
-// allocate (almost) nothing. Results are exactly equal to the generic path
-// — the test suite pins equivalence property-style.
+// This file holds the layout-independent half of the hot path. Every data
+// point in the paper's evaluation averages 35 randomized trials over one
+// circuit; an Evaluator flattens that circuit once into int32 operand
+// tables, which Bind classifies per layout and the finish-time kernel
+// (kernel.go) prices. For the annealer's delta engine it also builds,
+// lazily, the dependency CSR of §IV-C's gate graph with Figure 3's edge
+// weights (LongestPath, DeltaEval).
 
 import (
 	"fmt"
@@ -21,10 +18,10 @@ import (
 )
 
 // Evaluator caches the layout-independent structure of one circuit — the
-// dependency CSR of §IV-C's gate graph, operand tables, gate counts, and
-// SSA labels — and evaluates the performance models against layouts over
-// those flat arrays. An Evaluator is immutable after construction and safe
-// for concurrent use; worker-pool trial runners share one per circuit.
+// operand tables, the gate counts, and (lazily) the dependency CSR of
+// §IV-C's gate graph — and binds layouts against those flat arrays. An
+// Evaluator is immutable after construction and safe for concurrent use;
+// worker-pool trial runners share one per circuit.
 type Evaluator struct {
 	c *circuit.Circuit
 	n int
@@ -49,28 +46,17 @@ type Evaluator struct {
 	// are never read after construction returns.
 	buildLast, buildCursor []int32
 
-	// once guards the lazy stages: the CSR, because the sweep kernels
-	// (Binding.TimeAll and friends) price gates off the operand tables
-	// alone, so heads/targets/isStart are only materialized when a
-	// CSR-walking evaluation (ParallelTime, LongestPath, NumEdges) first
-	// asks for them; and the SSA labels. One heap object per build —
-	// build resets it by pointer swap, since copying a sync.Once would
-	// trip the copylocks vet.
-	once   *evalOnce
-	labels []string
+	// csr guards the lazy dependency CSR: the kernel prices gates off the
+	// operand tables alone, so heads/targets/isStart are only
+	// materialized when a CSR walk (LongestPath, NumEdges, DeltaEval)
+	// first asks for them. One heap object per build — build resets it by
+	// pointer swap, since copying a sync.Once would trip the copylocks
+	// vet.
+	csr *sync.Once
 }
 
-// evalOnce bundles the evaluator's lazy-stage guards into one allocation.
-type evalOnce struct {
-	csr    sync.Once
-	labels sync.Once
-}
-
-// evalScratch is the pooled working memory of one evaluation.
+// evalScratch is the pooled working memory of one LongestPath.
 type evalScratch struct {
-	finish  []float64
-	prev    []int32
-	last    []int32
 	latency []float64
 	weights []float64
 	dag     dag.Scratch
@@ -79,26 +65,10 @@ type evalScratch struct {
 var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 func (s *evalScratch) grow(n int) {
-	if cap(s.finish) < n {
-		s.finish = make([]float64, n)
-		s.prev = make([]int32, n)
+	if cap(s.latency) < n {
 		s.latency = make([]float64, n)
 	}
-	s.finish = s.finish[:n]
-	s.prev = s.prev[:n]
 	s.latency = s.latency[:n]
-}
-
-// growLast returns the per-qubit last-gate buffer reset to -1.
-func (s *evalScratch) growLast(numQubits int) []int32 {
-	if cap(s.last) < numQubits {
-		s.last = make([]int32, numQubits)
-	}
-	s.last = s.last[:numQubits]
-	for i := range s.last {
-		s.last[i] = -1
-	}
-	return s.last
 }
 
 // NewEvaluator flattens the circuit's dependency structure. The circuit
@@ -107,24 +77,14 @@ func NewEvaluator(c *circuit.Circuit) *Evaluator {
 	return (&Evaluator{}).build(c)
 }
 
-// evaluatorPool holds retired evaluators whose flat arrays NewEvaluatorScratch
-// rebuilds in place. Only evaluators explicitly handed back through
-// RecycleEvaluator ever land here.
+// evaluatorPool holds retired evaluators whose flat arrays
+// BindCircuitScratch rebuilds in place. Only evaluators explicitly handed
+// back through RecycleEvaluator ever land here.
 var evaluatorPool sync.Pool
 
-// NewEvaluatorScratch is NewEvaluator, but reuses a recycled evaluator's
-// storage when one is available. The result is indistinguishable from a
-// fresh NewEvaluator.
-func NewEvaluatorScratch(c *circuit.Circuit) *Evaluator {
-	if e, _ := evaluatorPool.Get().(*Evaluator); e != nil {
-		return e.build(c)
-	}
-	return NewEvaluator(c)
-}
-
-// RecycleEvaluator retires e's storage for reuse by NewEvaluatorScratch.
+// RecycleEvaluator retires e's storage for reuse by BindCircuitScratch.
 // The caller must own every live reference to e, including any Binding
-// built from it — a later NewEvaluatorScratch rebuilds the arrays in
+// built from it — a later BindCircuitScratch rebuilds the arrays in
 // place. Trial loops that evaluate and discard use this to stay
 // allocation-flat; cached evaluators must never be recycled.
 func RecycleEvaluator(e *Evaluator) {
@@ -151,8 +111,7 @@ func (e *Evaluator) build(c *circuit.Circuit) *Evaluator {
 	e.c = c
 	e.n = n
 	e.oneQGates, e.twoQGates = 0, 0
-	e.once = new(evalOnce)
-	e.labels = nil
+	e.csr = new(sync.Once)
 	e.qa = growInt32(e.qa, n)
 	e.qb = growInt32(e.qb, n)
 	if cap(e.twoQ) < n {
@@ -178,7 +137,7 @@ func (e *Evaluator) build(c *circuit.Circuit) *Evaluator {
 }
 
 // ensureCSR materializes heads/targets/isStart on first use.
-func (e *Evaluator) ensureCSR() { e.once.csr.Do(e.buildCSR) }
+func (e *Evaluator) ensureCSR() { e.csr.Do(e.buildCSR) }
 
 // buildCSR constructs the successor CSR and start-node flags from the
 // operand tables build filled.
@@ -227,7 +186,7 @@ func (e *Evaluator) buildCSR() {
 	e.targets = growInt32(e.targets, int(e.heads[n]))
 	// Second pass: fill targets. Iterating gates in program order appends
 	// ascending targets to each source's slot range, so the CSR comes out
-	// sorted exactly like dag.Graph.Successors.
+	// sorted in circuit.DependencyEdges order.
 	e.buildCursor = growInt32(e.buildCursor, n)
 	cursor := e.buildCursor
 	for i := range cursor {
@@ -266,70 +225,26 @@ func (e *Evaluator) NumEdges() int {
 	return len(e.targets)
 }
 
-// gateLatencies fills dst[i] with gate i's latency under (l, lat) and
-// returns the count of cross-chain 2-qubit gates.
-func (e *Evaluator) gateLatencies(dst []float64, l *ti.Layout, lat Latencies) (weak int) {
+// gateLatencies fills dst[i] with gate i's latency under (l, lat).
+func (e *Evaluator) gateLatencies(dst []float64, l *ti.Layout, lat Latencies) {
 	weakLat := lat.WeakPenalty * lat.TwoQubit
 	for i := 0; i < e.n; i++ {
-		if !e.twoQ[i] {
+		switch {
+		case !e.twoQ[i]:
 			dst[i] = lat.OneQubit
-			continue
-		}
-		if l.SameChain(int(e.qa[i]), int(e.qb[i])) {
+		case l.SameChain(int(e.qa[i]), int(e.qb[i])):
 			dst[i] = lat.TwoQubit
-		} else {
+		default:
 			dst[i] = weakLat
-			weak++
 		}
 	}
-	return weak
 }
 
-// ParallelTime evaluates the parallel model (the finish time of the last
-// gate under ASAP scheduling) for one layout. It equals
-// perf.ParallelTime(c, l, lat) exactly, with no per-call allocations.
-func (e *Evaluator) ParallelTime(l *ti.Layout, lat Latencies) float64 {
-	if e.n == 0 {
-		return 0
-	}
-	e.ensureCSR()
-	s := evalPool.Get().(*evalScratch)
-	s.grow(e.n)
-	e.gateLatencies(s.latency, l, lat)
-	total := e.parallelDP(s)
-	evalPool.Put(s)
-	return total
-}
-
-// parallelDP runs the finish-time dynamic program over the cached CSR.
-// s.latency must already be filled; s.finish is used as the ready/finish
-// buffer. Returns the makespan.
-func (e *Evaluator) parallelDP(s *evalScratch) float64 {
-	finish := s.finish
-	for i := range finish {
-		finish[i] = 0
-	}
-	total := 0.0
-	for u := 0; u < e.n; u++ {
-		f := finish[u] + s.latency[u]
-		finish[u] = f
-		if f > total {
-			total = f
-		}
-		for i := e.heads[u]; i < e.heads[u+1]; i++ {
-			v := e.targets[i]
-			if f > finish[v] {
-				finish[v] = f
-			}
-		}
-	}
-	return total
-}
-
-// LongestPath computes the maximum-weight path of §IV-C's gate graph — the
-// same quantity as BuildGateGraph(c, l, lat) followed by
-// dag.Graph.LongestPath — by filling edge weights over the cached CSR and
-// running internal/dag's index-based kernel.
+// LongestPath computes the maximum-weight path of §IV-C's gate graph
+// (Figure 3's edge weights, as DOT renders them) by filling edge weights
+// over the cached CSR and running internal/dag's index-based kernel. It is
+// the edge-weighted form the delta engine prices incrementally; an
+// isolated gate has no edge and therefore contributes nothing.
 func (e *Evaluator) LongestPath(l *ti.Layout, lat Latencies) float64 {
 	if e.n == 0 {
 		return 0
@@ -360,131 +275,4 @@ func (e *Evaluator) LongestPath(l *ti.Layout, lat Latencies) float64 {
 		panic(fmt.Sprintf("perf: dependency CSR reported cycle: %v", err))
 	}
 	return length
-}
-
-// Labels returns the circuit's SSA gate labels, computed once and cached.
-func (e *Evaluator) Labels() []string {
-	e.once.labels.Do(func() { e.labels = e.c.Labels() })
-	return e.labels
-}
-
-// Evaluate runs both performance models for one layout. The Result is
-// exactly equal (field for field, critical path included) to
-// perf.Evaluate(c, l, lat), computed in two passes over flat arrays
-// instead of seven over the gate list.
-func (e *Evaluator) Evaluate(l *ti.Layout, lat Latencies) (Result, error) {
-	if err := lat.Validate(); err != nil {
-		return Result{}, err
-	}
-	if e.c.NumQubits() > l.NumQubits() {
-		return Result{}, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", e.c.NumQubits(), l.NumQubits())
-	}
-	s := evalPool.Get().(*evalScratch)
-	s.grow(e.n)
-
-	// Pass 1: per-gate latencies, serial per-gate total, weak-gate count,
-	// and the set of weak links used (Table I's w).
-	weak := e.gateLatencies(s.latency, l, lat)
-	serialPerGate := 0.0
-	for _, d := range s.latency {
-		serialPerGate += d
-	}
-	links := e.linksUsed(l)
-	w := links
-	if w > e.twoQGates {
-		w = e.twoQGates
-	}
-
-	res := Result{
-		SerialMicros:        SerialTimeFromCounts(e.oneQGates, e.twoQGates, w, lat),
-		SerialPerGateMicros: serialPerGate,
-		WeakGates:           weak,
-		LinksUsed:           links,
-	}
-
-	// Pass 2: parallel-model DP with predecessor tracking for the
-	// critical path. This pulls each gate's ready time from its operands'
-	// last writers — exactly CriticalPath's traversal, so predecessor
-	// tie-breaking (first operand wins on equal finish times) matches the
-	// legacy path label for label.
-	if e.n > 0 {
-		finish, prev := s.finish, s.prev
-		last := s.growLast(e.c.NumQubits())
-		best := 0
-		total := 0.0
-		for i := 0; i < e.n; i++ {
-			ready := 0.0
-			prev[i] = -1
-			if p := last[e.qa[i]]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-				prev[i] = p
-			}
-			if qb := e.qb[i]; qb >= 0 {
-				if p := last[qb]; p >= 0 && finish[p] > ready {
-					ready = finish[p]
-					prev[i] = p
-				}
-			}
-			f := ready + s.latency[i]
-			finish[i] = f
-			last[e.qa[i]] = int32(i)
-			if qb := e.qb[i]; qb >= 0 {
-				last[qb] = int32(i)
-			}
-			if f > finish[best] {
-				best = i
-			}
-			if f > total {
-				total = f
-			}
-		}
-		res.ParallelMicros = total
-		depth := 0
-		for at := int32(best); at != -1; at = s.prev[at] {
-			depth++
-		}
-		labels := e.Labels()
-		path := make([]string, depth)
-		for at := int32(best); at != -1; at = s.prev[at] {
-			depth--
-			path[depth] = labels[at]
-		}
-		res.CriticalPath = path
-	}
-	evalPool.Put(s)
-	return res, nil
-}
-
-// linksUsed computes Table I's w over the cached operand tables: the
-// number of distinct weak links marked by cross-chain gates between
-// directly linked chains (the lowest-numbered link joining each pair),
-// matching LinksUsed.
-func (e *Evaluator) linksUsed(l *ti.Layout) int {
-	d := l.Device()
-	nc := d.NumChains()
-	// pairLink[ca*nc+cb] is 1 + the id of the lowest-numbered link joining
-	// the chain pair, 0 when none; a flat matrix beats a map for the chain
-	// counts the framework sees (≤ a few dozen).
-	pairLink := make([]int32, nc*nc)
-	for i := len(d.WeakLinks()) - 1; i >= 0; i-- {
-		wl := d.WeakLinks()[i]
-		pairLink[wl.A.Chain*nc+wl.B.Chain] = int32(wl.ID) + 1
-		pairLink[wl.B.Chain*nc+wl.A.Chain] = int32(wl.ID) + 1
-	}
-	used := make([]bool, d.MaxWeakLinks()+1)
-	count := 0
-	for i := 0; i < e.n; i++ {
-		if !e.twoQ[i] {
-			continue
-		}
-		ca, cb := l.ChainOf(int(e.qa[i])), l.ChainOf(int(e.qb[i]))
-		if ca == cb {
-			continue
-		}
-		if id := pairLink[ca*nc+cb]; id != 0 && !used[id-1] {
-			used[id-1] = true
-			count++
-		}
-	}
-	return count
 }

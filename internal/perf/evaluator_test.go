@@ -18,39 +18,52 @@ import (
 // is checked under.
 var evaluatorAlphas = []float64{1.0, 1.5, 2.0}
 
-// checkEquivalence pins the Evaluator against every legacy entry point for
-// one placed circuit.
+// checkEquivalence pins the Evaluator's binding against every other entry
+// point and the oracle gate graph for one placed circuit.
 func checkEquivalence(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lat perf.Latencies) {
 	t.Helper()
 	e := perf.NewEvaluator(c)
-
-	if got, want := e.ParallelTime(l, lat), perf.ParallelTime(c, l, lat); got != want {
-		t.Fatalf("%s: Evaluator.ParallelTime = %v, ParallelTime = %v", tag, got, want)
+	b, err := e.Bind(l)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
 	}
 
-	g := perf.BuildGateGraph(c, l, lat)
+	if got, want := b.ParallelTime(lat), perf.ParallelTime(c, l, lat); got != want {
+		t.Fatalf("%s: Binding.ParallelTime = %v, ParallelTime = %v", tag, got, want)
+	}
+
+	g := perf.NewOracleGraph(c, l, lat)
 	if got, want := e.NumEdges(), g.NumEdges(); got != want {
-		t.Fatalf("%s: Evaluator has %d edges, BuildGateGraph %d", tag, got, want)
+		t.Fatalf("%s: Evaluator has %d edges, oracle graph %d", tag, got, want)
 	}
 	lp, err := g.LongestPath()
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	if got := e.LongestPath(l, lat); got != lp.Length {
-		t.Fatalf("%s: Evaluator.LongestPath = %v, dag.LongestPath = %v", tag, got, lp.Length)
+		t.Fatalf("%s: Evaluator.LongestPath = %v, oracle longest path = %v", tag, got, lp.Length)
 	}
 
 	want, err := perf.Evaluate(c, l, lat)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	got, err := e.Evaluate(l, lat)
+	got, err := b.Time(lat)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Evaluator.Evaluate =\n%+v\nEvaluate =\n%+v", tag, got, want)
+		t.Fatalf("%s: Binding.Time =\n%+v\nEvaluate =\n%+v", tag, got, want)
 	}
+}
+
+// evaluate binds and prices one layout through e.
+func evaluate(e *perf.Evaluator, l *ti.Layout, lat perf.Latencies) (perf.Result, error) {
+	b, err := e.Bind(l)
+	if err != nil {
+		return perf.Result{}, err
+	}
+	return b.Time(lat)
 }
 
 // TestEvaluatorMatchesLegacyOnRandomCircuits drives the equivalence
@@ -137,7 +150,7 @@ func TestEvaluatorReuseAcrossLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Evaluate(l, lat)
+		got, err := evaluate(e, l, lat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +192,7 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
-				got, err := e.Evaluate(layouts[i], lat)
+				got, err := evaluate(e, layouts[i], lat)
 				if err != nil {
 					errs[i] = err
 					return
@@ -243,7 +256,7 @@ func TestEvaluatorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := perf.NewEvaluator(c)
-	if _, err := e.Evaluate(l, perf.DefaultLatencies()); err == nil {
+	if _, err := evaluate(e, l, perf.DefaultLatencies()); err == nil {
 		t.Fatal("expected error for circuit wider than layout")
 	}
 	bad := perf.DefaultLatencies()
@@ -256,7 +269,7 @@ func TestEvaluatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Evaluate(l8, bad); err == nil {
+	if _, err := evaluate(e, l8, bad); err == nil {
 		t.Fatal("expected latency validation error")
 	}
 }

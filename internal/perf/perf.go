@@ -19,15 +19,23 @@
 //     circuit's parallel execution time is the maximum-weight path — chains
 //     whose gate sequences never meet at a weak link proceed concurrently.
 //
+// The maximum-weight path equals a per-qubit frontier recurrence, and one
+// kernel (kernel.go) computes it for every entry point: Binding.Time and
+// its batched α-panel forms, the shuttle transport pricing
+// (transport.go), the memory-bounded streams (stream.go), ParallelTime,
+// Evaluate and BuildTimeline. Evaluator.LongestPath and DeltaEval keep the
+// explicit edge-weighted graph, as a CSR, for the annealer's incremental
+// search; DOT renders the same graph for inspection.
+//
 // All times are microseconds, matching the paper's Table III units.
 package perf
 
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"velociti/internal/circuit"
-	"velociti/internal/dag"
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
@@ -183,17 +191,14 @@ func SerialTimeFromCounts(q, p, w int, lat Latencies) float64 {
 	return float64(q)*lat.OneQubit + gamma
 }
 
-// BuildGateGraph constructs the paper's directed-graph representation of a
-// placed circuit (§IV-C, Figure 3). Node i corresponds to gate i of c and
-// carries its SSA label ("q3q4.2"). For every pair of consecutive gates
-// (a, b) sharing a qubit there is an edge a→b weighted with b's latency,
-// plus a's latency when a is a start node.
-func BuildGateGraph(c *circuit.Circuit, l *ti.Layout, lat Latencies) *dag.Graph {
-	g := dag.New()
-	labels := c.Labels()
-	for i := range c.Gates() {
-		g.AddNode(labels[i])
-	}
+// DOT renders the paper's directed-graph representation of a placed
+// circuit (§IV-C, Figure 3) in Graphviz DOT format. Node i is gate i,
+// labeled with its SSA label ("q3q4.2") and drawn as a double circle when
+// it is a start node (a gate with no predecessor). For every pair of
+// consecutive gates (a, b) sharing a qubit there is an edge a→b weighted
+// with b's latency, plus a's latency when a is a start node. Edges are
+// listed in (a, b) order.
+func DOT(name string, c *circuit.Circuit, l *ti.Layout, lat Latencies) string {
 	edges := c.DependencyEdges()
 	isStart := make([]bool, c.NumGates())
 	for i := range isStart {
@@ -202,85 +207,37 @@ func BuildGateGraph(c *circuit.Circuit, l *ti.Layout, lat Latencies) *dag.Graph 
 	for _, e := range edges {
 		isStart[e[1]] = false
 	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "digraph %q {\n", name)
+	for i, label := range c.Labels() {
+		shape := "circle"
+		if isStart[i] {
+			shape = "doublecircle"
+		}
+		fmt.Fprintf(&b, "  n%d [label=%q shape=%s];\n", i, label, shape)
+	}
 	for _, e := range edges {
 		w := lat.GateLatency(c.Gate(e[1]), l)
 		if isStart[e[0]] {
 			w += lat.GateLatency(c.Gate(e[0]), l)
 		}
-		g.AddEdge(e[0], e[1], w)
+		fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", e[0], e[1], strconv.FormatFloat(w, 'g', -1, 64))
 	}
-	return g
+	b.WriteString("}\n")
+	return b.String()
 }
 
 // ParallelTime evaluates the parallel model: the finish time of the last
 // gate when every gate starts as soon as all gates it depends on have
-// finished. It is computed by dynamic programming over the dependency DAG
-// (finish(g) = latency(g) + max over predecessors' finish), which equals
-// the longest weighted path in BuildGateGraph's representation — a property
-// the test suite checks — while also covering gates with no edges at all.
-// An empty circuit takes zero time.
+// finished: the longest weighted path of the gate graph DOT renders, with
+// a gate that has no edge at all counting at its own latency. It runs the
+// finish-time kernel over a pooled binding. An empty circuit takes zero
+// time. Every qubit c uses must be placed by l.
 func ParallelTime(c *circuit.Circuit, l *ti.Layout, lat Latencies) float64 {
-	n := c.NumGates()
-	if n == 0 {
-		return 0
-	}
-	finish := make([]float64, n)
-	// Gates are in program order, and dependencies only point backwards,
-	// so a single left-to-right pass is a valid topological traversal.
-	last := make([]int, c.NumQubits())
-	for i := range last {
-		last[i] = -1
-	}
-	total := 0.0
-	for _, g := range c.Gates() {
-		ready := 0.0
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
-		finish[g.ID] = ready + lat.GateLatency(g, l)
-		for _, q := range g.Qubits {
-			last[q] = g.ID
-		}
-		if finish[g.ID] > total {
-			total = finish[g.ID]
-		}
-	}
-	return total
-}
-
-// ParallelTimeFunc evaluates the parallel model under an arbitrary
-// per-gate latency function instead of the standard Latencies — the hook
-// alternative communication substrates (e.g. internal/shuttle's ion
-// transport) plug their cost models into.
-func ParallelTimeFunc(c *circuit.Circuit, latencyOf func(circuit.Gate) float64) float64 {
-	n := c.NumGates()
-	if n == 0 {
-		return 0
-	}
-	finish := make([]float64, n)
-	last := make([]int, c.NumQubits())
-	for i := range last {
-		last[i] = -1
-	}
-	total := 0.0
-	for _, g := range c.Gates() {
-		ready := 0.0
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
-		finish[g.ID] = ready + latencyOf(g)
-		for _, q := range g.Qubits {
-			last[q] = g.ID
-		}
-		if finish[g.ID] > total {
-			total = finish[g.ID]
-		}
-	}
-	return total
+	b := bindCircuit(c, l)
+	t := b.ParallelTime(lat)
+	RecycleEvaluator(b.ev)
+	return t
 }
 
 // SerialTimeFunc sums an arbitrary per-gate latency function — the
@@ -323,67 +280,18 @@ func (r Result) Speedup() float64 {
 }
 
 // Evaluate runs both performance models on a placed circuit and extracts
-// the critical path.
+// the critical path: Bind followed by Time, over a pooled evaluator.
 func Evaluate(c *circuit.Circuit, l *ti.Layout, lat Latencies) (Result, error) {
 	if err := lat.Validate(); err != nil {
 		return Result{}, err
 	}
-	if c.NumQubits() > l.NumQubits() {
-		return Result{}, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", c.NumQubits(), l.NumQubits())
+	b, err := BindCircuitScratch(c, l)
+	if err != nil {
+		return Result{}, err
 	}
-	res := Result{
-		SerialMicros:        SerialTime(c, l, lat),
-		SerialPerGateMicros: SerialTimePerGate(c, l, lat),
-		ParallelMicros:      ParallelTime(c, l, lat),
-		WeakGates:           WeakGates(c, l),
-		LinksUsed:           LinksUsed(c, l),
-	}
-	res.CriticalPath = CriticalPath(c, l, lat)
-	return res, nil
-}
-
-// CriticalPath returns the SSA labels of the gates along one
-// maximum-latency dependency chain, in execution order. Returns nil for an
-// empty circuit.
-func CriticalPath(c *circuit.Circuit, l *ti.Layout, lat Latencies) []string {
-	n := c.NumGates()
-	if n == 0 {
-		return nil
-	}
-	finish := make([]float64, n)
-	prev := make([]int, n)
-	last := make([]int, c.NumQubits())
-	for i := range last {
-		last[i] = -1
-	}
-	best := 0
-	for _, g := range c.Gates() {
-		ready := 0.0
-		prev[g.ID] = -1
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-				prev[g.ID] = p
-			}
-		}
-		finish[g.ID] = ready + lat.GateLatency(g, l)
-		for _, q := range g.Qubits {
-			last[q] = g.ID
-		}
-		if finish[g.ID] > finish[best] {
-			best = g.ID
-		}
-	}
-	labels := c.Labels()
-	var rev []string
-	for at := best; at != -1; at = prev[at] {
-		rev = append(rev, labels[at])
-	}
-	out := make([]string, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
+	res, err := b.Time(lat)
+	RecycleEvaluator(b.ev)
+	return res, err
 }
 
 // ChainUtilization reports, per chain, the fraction of the parallel

@@ -113,7 +113,7 @@ func TestParallelTimeFig3MatchesPaper(t *testing.T) {
 func TestBuildGateGraphFig3Structure(t *testing.T) {
 	c, l := fig3(t)
 	lat := DefaultLatencies()
-	g := BuildGateGraph(c, l, lat)
+	g := NewOracleGraph(c, l, lat)
 	if g.NumNodes() != 6 {
 		t.Fatalf("nodes = %d, want 6", g.NumNodes())
 	}
@@ -174,7 +174,7 @@ func TestParallelMatchesGraphLongestPath(t *testing.T) {
 				c.CX(p[0], p[1])
 			}
 		}
-		g := BuildGateGraph(c, l, lat)
+		g := NewOracleGraph(c, l, lat)
 		lp, err := g.LongestPath()
 		if err != nil {
 			t.Fatal(err)
@@ -376,7 +376,11 @@ func TestEvaluateEmptyCircuit(t *testing.T) {
 func TestCriticalPathOrderingAndMembership(t *testing.T) {
 	c, l := fig3(t)
 	lat := DefaultLatencies()
-	path := CriticalPath(c, l, lat)
+	res, err := Evaluate(c, l, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := res.CriticalPath
 	// Path must be q3q4 (label "q2q3"), q4q5 ("q3q4"), q5q6 ("q4q5").
 	want := []string{"q2q3", "q3q4", "q4q5"}
 	if !reflect.DeepEqual(path, want) {
@@ -430,9 +434,35 @@ func TestSpeedupZeroParallel(t *testing.T) {
 
 func TestGraphDOTHasStartNodes(t *testing.T) {
 	c, l := fig3(t)
-	g := BuildGateGraph(c, l, DefaultLatencies())
-	dot := g.DOT("fig3")
+	dot := DOT("fig3", c, l, DefaultLatencies())
 	if n := strings.Count(dot, "doublecircle"); n != 3 {
 		t.Fatalf("DOT should mark 3 start nodes, got %d", n)
+	}
+}
+
+func TestDOTOutput(t *testing.T) {
+	c, l := fig3(t)
+	dot := DOT("fig3", c, l, DefaultLatencies())
+	for _, want := range []string{
+		"digraph \"fig3\" {\n",
+		"  n0 [label=\"q0q1\" shape=doublecircle];\n",
+		"  n3 [label=\"q3q4\" shape=circle];\n",
+		// Figure 3's weights: q3q4 → q4q5 is (1+α)γ, q4q5 → q5q6 is γ.
+		"  n1 -> n3 [label=\"300\"];\n",
+		"  n3 -> n4 [label=\"100\"];\n",
+	} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("DOT output missing %q:\n%s", want, dot)
+		}
+	}
+	if !strings.HasSuffix(dot, "}\n") {
+		t.Errorf("DOT output not closed:\n%s", dot)
+	}
+	// One node line per gate, one edge line per dependency edge.
+	if n := strings.Count(dot, " -> "); n != len(c.DependencyEdges()) {
+		t.Errorf("DOT has %d edges, want %d", n, len(c.DependencyEdges()))
+	}
+	if n := strings.Count(dot, "shape="); n != c.NumGates() {
+		t.Errorf("DOT has %d nodes, want %d", n, c.NumGates())
 	}
 }

@@ -1,24 +1,22 @@
 package perf
 
 // This file prices gate STREAMS: the memory-bounded counterpart of
-// binding.go's TimeAll and transport.go's TimeTransportAll. Both
-// materialized kernels only ever read a gate's predecessors through the
-// per-qubit last-writer table, so the full finish[] history is replaced
-// here by a per-qubit frontier — one finish time per (qubit, lane) — and
-// peak memory becomes O(qubits·lanes + window), independent of gate count.
+// binding.go's TimeAll and transport.go's TimeTransportAll. The
+// finish-time kernel (kernel.go) only ever reads a gate's predecessors
+// through the per-qubit frontier, so fed straight from a circuit.Source,
+// gate by gate, it prices a stream in O(qubits·lanes) memory, independent
+// of gate count.
 //
 // Bit-exactness contract: StreamTimeAll equals Binding.TimeAll and
 // StreamTransportAll equals Binding.TimeTransportAll field for field —
-// same serial accumulation order, same strict-> maximum tracking, same
-// weak-link counting rules — EXCEPT that CriticalPath is omitted
-// (reconstructing it needs the Θ(gates) predecessor chain the streaming
-// path exists to avoid; Result's JSON tag drops the empty field). The
-// property tests pin the equivalence on every workload generator and both
-// backends.
+// same kernel, same gate order, same weak-link counting rules — EXCEPT
+// that CriticalPath is omitted (reconstructing it needs the Θ(gates)
+// predecessor chain the streaming path exists to avoid; Result's JSON tag
+// drops the empty field). The property tests pin the equivalence on every
+// workload generator and both backends.
 //
-// Classification state is the same as Bind's: the pooled pair→link table
-// (lowest link id wins, exactly newBindScratch's reverse-iteration rule)
-// and the per-link usage bitmap, both O(device). A rolling content hash
+// Classification is Bind's own classifier: the pooled pair→link table and
+// per-link usage bitmap, both O(device). A rolling content hash
 // (circuit.FingerprintAccum) is folded over the stream so cache keys can
 // still be formed without buffering gates.
 
@@ -26,16 +24,9 @@ import (
 	"fmt"
 
 	"velociti/internal/circuit"
-	"velociti/internal/dag"
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
-
-// streamChunkGates is the evaluation window of the weak-link streaming
-// kernel: gates per dag.Chunk before a relaxation pass flushes them into
-// the per-qubit frontier. A variable (not a const) so the chunk-boundary
-// adversarial tests can shrink it to force gates onto window edges.
-var streamChunkGates = 4096
 
 // StreamStats summarizes a consumed gate stream: the gate counts the
 // serial model needs and the rolling content fingerprint, bit-identical to
@@ -51,29 +42,20 @@ type StreamStats struct {
 	TwoQubitGates int
 }
 
-// streamState is the shared per-stream bookkeeping of both streaming
-// kernels: classification against the layout, gate counts, and the rolling
-// fingerprint.
+// streamState is the per-stream bookkeeping: classification against the
+// layout, gate counts, and the rolling fingerprint.
 type streamState struct {
-	chainOf  []int
-	pairLink []int32
-	used     []bool
-	nc       int
-	scratch  *bindScratch
-
-	oneQ, twoQ  int
-	weak, links int
-	fp          circuit.FingerprintAccum
+	cl         classifier
+	oneQ, twoQ int
+	fp         circuit.FingerprintAccum
 }
 
 func newStreamState(src circuit.Source, l *ti.Layout) *streamState {
-	s := &streamState{chainOf: l.ChainAssignments(), fp: circuit.NewFingerprintAccum(src.Name, src.Qubits)}
-	s.scratch, s.pairLink, s.used, s.nc = newBindScratch(l)
-	return s
+	return &streamState{cl: newClassifier(l), fp: circuit.NewFingerprintAccum(src.Name, src.Qubits)}
 }
 
-// classify mirrors Bind's walk for one gate: class, weak-gate tally, and
-// distinct-links tally (lowest link id wins, matching newBindScratch).
+// classify folds one gate into the fingerprint and counts and returns its
+// class, exactly as Bind classifies it.
 func (s *streamState) classify(g *circuit.Gate) GateClass {
 	s.fp.AddGate(g)
 	if !g.IsTwoQubit() {
@@ -81,23 +63,13 @@ func (s *streamState) classify(g *circuit.Gate) GateClass {
 		return ClassOneQ
 	}
 	s.twoQ++
-	ca, cb := s.chainOf[g.Qubits[0]], s.chainOf[g.Qubits[1]]
-	if ca == cb {
-		return ClassTwoQIntra
-	}
-	s.weak++
-	if id := s.pairLink[ca*s.nc+cb]; id != 0 && !s.used[id-1] {
-		s.used[id-1] = true
-		s.links++
-	}
-	return ClassTwoQWeak
+	return s.cl.twoQubit(g.Qubits[0], g.Qubits[1])
 }
 
 // close releases the pooled classification scratch and returns the
 // stream's stats.
 func (s *streamState) close() StreamStats {
-	bindScratchPool.Put(s.scratch)
-	s.scratch = nil
+	s.cl.release()
 	return StreamStats{
 		Fingerprint:   s.fp.Sum(),
 		Gates:         s.oneQ + s.twoQ,
@@ -106,8 +78,9 @@ func (s *streamState) close() StreamStats {
 	}
 }
 
-// stream-entry validation shared by both kernels; the messages match the
-// materialized path's (Bind's qubit check, TimeAll's lats checks).
+// streamChecks is the entry validation of both streaming entry points; the
+// messages match the materialized path's (Bind's qubit check, TimeAll's
+// lats checks).
 func streamChecks(src circuit.Source, l *ti.Layout, lats []Latencies) error {
 	if src.Emit == nil {
 		return verr.Inputf("perf: source %q has no emitter", src.Name)
@@ -126,221 +99,96 @@ func streamChecks(src circuit.Source, l *ti.Layout, lats []Latencies) error {
 	return nil
 }
 
-// finalizeResults fills the count-derived fields every lane shares once
-// the stream is exhausted. w is Table I's links-used clamp, exactly
-// TimeAll's min(links, twoQGates).
-func (s *streamState) finalizeResults(results []Result, lats []Latencies, serial, total []float64, local bool) {
-	w := s.links
+// results assembles every lane's Result once the stream is exhausted. w
+// is Table I's links-used clamp, exactly TimeAll's min(links, twoQGates).
+// Under transport (local set) the serial bound is priced at α = 1 plus
+// the kernel's total transport overhead, as in TimeTransportAll.
+func (s *streamState) results(lats []Latencies, k *kernel, local bool) []Result {
+	w := s.cl.links
 	if w > s.twoQ {
 		w = s.twoQ
 	}
+	results := make([]Result, len(lats))
 	for j, lat := range lats {
 		if local {
 			lat.WeakPenalty = 1
 		}
 		results[j] = Result{
 			SerialMicros:        SerialTimeFromCounts(s.oneQ, s.twoQ, w, lat),
-			SerialPerGateMicros: serial[j],
-			ParallelMicros:      total[j],
-			WeakGates:           s.weak,
-			LinksUsed:           s.links,
+			SerialPerGateMicros: k.serial[j],
+			ParallelMicros:      k.total[j],
+			WeakGates:           s.cl.weak,
+			LinksUsed:           s.cl.links,
+		}
+		if local {
+			results[j].SerialMicros += k.moved
 		}
 	}
+	return results
 }
 
 // StreamTimeAll prices a gate stream under every timing model in lats
-// with the weak-link backend, in O(qubits·lanes + window) memory. Entry j
-// equals Binding.TimeAll(lats)[j] on the materialized circuit, bit for
-// bit, except that CriticalPath is omitted (see the file comment). The
+// with the weak-link backend, in O(qubits·lanes) memory. Entry j equals
+// Binding.TimeAll(lats)[j] on the materialized circuit, bit for bit,
+// except that CriticalPath is omitted (see the file comment). The
 // returned StreamStats carries the rolling fingerprint for cache keying.
 func StreamTimeAll(src circuit.Source, l *ti.Layout, lats []Latencies) ([]Result, StreamStats, error) {
-	if err := streamChecks(src, l, lats); err != nil {
-		return nil, StreamStats{}, err
-	}
-	nl := len(lats)
-	luts := make([][numClasses]float64, nl)
-	for j, lat := range lats {
-		luts[j] = classLatencies(lat)
-	}
-
-	st := newStreamState(src, l)
-	window := streamChunkGates
-	ch := dag.NewChunk(window, src.Qubits)
-	classes := make([]GateClass, 0, window)
-	cost := make([]float64, window)
-	dist := make([]float64, window)
-	qfinish := make([]float64, src.Qubits*nl)
-	serial := make([]float64, nl)
-	total := make([]float64, nl)
-
-	// flush relaxes the buffered window once per lane and folds each
-	// lane's finish times back into the per-qubit frontier. Within a lane
-	// the pass visits gates in program order, so the serial accumulation
-	// and the strict-> makespan tracking reproduce TimeAll's exactly.
-	flush := func() {
-		m := ch.Len()
-		if m == 0 {
-			return
-		}
-		for j := 0; j < nl; j++ {
-			for i := 0; i < m; i++ {
-				cost[i] = luts[j][classes[i]]
-			}
-			ch.Run(cost[:m], qfinish, nl, j, dist[:m])
-			for i := 0; i < m; i++ {
-				serial[j] += cost[i]
-				if dist[i] > total[j] {
-					total[j] = dist[i]
-				}
-			}
-			qs, ws := ch.Writers()
-			for k, q := range qs {
-				qfinish[int(q)*nl+j] = dist[ws[k]]
-			}
-		}
-		ch.Reset()
-		classes = classes[:0]
-	}
-
-	err := src.Emit(func(g *circuit.Gate) error {
-		classes = append(classes, st.classify(g))
-		qb := int32(-1)
-		if g.IsTwoQubit() {
-			qb = int32(g.Qubits[1])
-		}
-		ch.Add(int32(g.Qubits[0]), qb)
-		if ch.Full() {
-			flush()
-		}
-		return nil
-	})
-	if err != nil {
-		st.close()
-		return nil, StreamStats{}, err
-	}
-	flush()
-
-	results := make([]Result, nl)
-	stats := st.close()
-	st.finalizeResults(results, lats, serial, total, false)
-	return results, stats, nil
+	return streamTimeAll(src, l, nil, lats)
 }
 
 // StreamTransportAll prices a gate stream under every timing model in lats
 // with the shuttle transport model, in O(qubits·lanes + segments·lanes)
-// memory. The busy-until segment reservation is order-dependent, so the
-// kernel runs gate-at-a-time over the per-qubit frontier rather than in
-// relaxation windows; the recurrence is TimeTransportAll's, verbatim.
-// Entry j equals Binding.TimeTransportAll(costs, lats)[j] on the
+// memory. Entry j equals Binding.TimeTransportAll(costs, lats)[j] on the
 // materialized circuit, bit for bit, except that CriticalPath is omitted.
 func StreamTransportAll(src circuit.Source, l *ti.Layout, costs TransportCosts, lats []Latencies) ([]Result, StreamStats, error) {
+	return streamTimeAll(src, l, &costs, lats)
+}
+
+// streamTimeAll runs the kernel over src, with the transport hook when
+// costs is non-nil.
+func streamTimeAll(src circuit.Source, l *ti.Layout, costs *TransportCosts, lats []Latencies) ([]Result, StreamStats, error) {
 	if err := streamChecks(src, l, lats); err != nil {
 		return nil, StreamStats{}, err
 	}
-	if err := costs.Validate(); err != nil {
-		return nil, StreamStats{}, err
+	var paths *segmentPaths
+	if costs != nil {
+		if err := costs.Validate(); err != nil {
+			return nil, StreamStats{}, err
+		}
+		paths = newSegmentPaths(l)
 	}
-	nl := len(lats)
-	// Transport replaces the weak penalty: weak gates run at the LOCAL γ,
-	// exactly TimeTransportAll's neutralized latency tables.
-	luts := make([][numClasses]float64, nl)
-	for j, lat := range lats {
-		local := lat
-		local.WeakPenalty = 1
-		luts[j] = classLatencies(local)
-	}
-
 	st := newStreamState(src, l)
-	d := l.Device()
-	numSegs := d.MaxWeakLinks()
-	fixed := costs.SplitMicros + costs.MergeMicros + costs.RecoolMicros
-	// Paths are cached per canonical (min, max) chain pair, matching
-	// AttachTransport's direction-independent lookup.
-	paths := make([][]int32, st.nc*st.nc)
-	busy := make([]float64, numSegs*nl)
-	qfinish := make([]float64, src.Qubits*nl)
-	serial := make([]float64, nl)
-	total := make([]float64, nl)
-	transportTotal := 0.0
-
+	// A stream is one long pass: its kernel is allocated outright rather
+	// than pooled, so the pass's allocations do not depend on whether a
+	// garbage collection emptied the pool while it ran.
+	k := new(kernel)
+	k.reset(len(lats), src.Qubits)
+	k.classTables(lats, costs != nil)
+	if costs != nil {
+		k.withTransport(*costs, l.Device().MaxWeakLinks())
+	}
+	i := int32(0)
 	err := src.Emit(func(g *circuit.Gate) error {
 		class := st.classify(g)
-		qa := g.Qubits[0]
-		qb := -1
 		var segs []int32
-		over := 0.0
-		if class == ClassTwoQWeak {
-			lo, hi := st.chainOf[qa], st.chainOf[g.Qubits[1]]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			p := paths[lo*st.nc+hi]
-			if p == nil {
-				links := d.PathLinks(lo, hi)
-				if len(links) == 0 {
-					return verr.Inputf("perf: qubits q%d and q%d sit on disconnected chains %d and %d; no shuttle path exists",
-						qa, g.Qubits[1], st.chainOf[qa], st.chainOf[g.Qubits[1]])
-				}
-				p = make([]int32, len(links))
-				for k, wl := range links {
-					p[k] = int32(wl.ID)
-				}
-				paths[lo*st.nc+hi] = p
+		if paths != nil && class == ClassTwoQWeak {
+			p, err := paths.between(g.Qubits[0], g.Qubits[1])
+			if err != nil {
+				return err
 			}
 			segs = p
-			over = fixed + float64(len(segs))*costs.MovePerHopMicros
-			transportTotal += over
 		}
+		qb := int32(-1)
 		if g.IsTwoQubit() {
-			qb = g.Qubits[1]
+			qb = int32(g.Qubits[1])
 		}
-		for j := 0; j < nl; j++ {
-			ready := 0.0
-			if v := qfinish[qa*nl+j]; v > ready {
-				ready = v
-			}
-			if qb >= 0 {
-				if v := qfinish[qb*nl+j]; v > ready {
-					ready = v
-				}
-			}
-			dlt := luts[j][class]
-			start := ready
-			if over > 0 {
-				for _, sg := range segs {
-					if v := busy[int(sg)*nl+j]; v > start {
-						start = v
-					}
-				}
-			}
-			tEnd := start + over
-			if over > 0 {
-				for _, sg := range segs {
-					busy[int(sg)*nl+j] = tEnd
-				}
-			}
-			f := tEnd + dlt
-			serial[j] += over + dlt
-			if f > total[j] {
-				total[j] = f
-			}
-			qfinish[qa*nl+j] = f
-			if qb >= 0 {
-				qfinish[qb*nl+j] = f
-			}
-		}
+		k.gate(i, int32(g.Qubits[0]), qb, int(class), segs)
+		i++
 		return nil
 	})
+	stats := st.close()
 	if err != nil {
-		st.close()
 		return nil, StreamStats{}, err
 	}
-
-	results := make([]Result, nl)
-	stats := st.close()
-	st.finalizeResults(results, lats, serial, total, true)
-	for j := range results {
-		results[j].SerialMicros += transportTotal
-	}
-	return results, stats, nil
+	return st.results(lats, k, costs != nil), stats, nil
 }

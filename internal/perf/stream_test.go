@@ -1,7 +1,6 @@
 package perf
 
-// Internal tests: the chunk-boundary adversarial cases override
-// streamChunkGates, and the shuttle streaming kernel is driven through
+// Internal tests: the shuttle streaming kernel is driven through
 // TransportCosts directly (importing internal/shuttle here would cycle).
 // The cross-package equivalence suite — every workload generator, both
 // named backends, the core wiring — lives in the core and e2e test
@@ -178,38 +177,6 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		l := placeShuffled(t, d, p.Qubits, r)
 		checkStream(t, p.Name+"/lanes=1", p, l, streamLats(2.0))
 		checkStream(t, p.Name+"/lanes=4", p, l, streamLats(2.0, 1.5, 1.2, 1.0))
-	}
-}
-
-// TestStreamChunkBoundaries is the adversarial window test: with the
-// chunk shrunk to a handful of gates, dependencies straddle every window
-// edge and the frontier hand-off is exercised constantly; results must
-// not move. Window size 1 degenerates to gate-at-a-time evaluation.
-func TestStreamChunkBoundaries(t *testing.T) {
-	defer func(old int) { streamChunkGates = old }(streamChunkGates)
-	rnd, err := workload.RandomCircuitProgram(11, 257, 0.35, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qft, err := apps.QFTProgram(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []circuit.Program{
-		rnd, qft,
-		{Name: "empty", Qubits: 2, Body: func(circuit.Builder) {}},
-		{Name: "single", Qubits: 2, Body: func(b circuit.Builder) { b.CX(1, 0) }},
-	} {
-		r := stats.NewRand(5)
-		d, err := ti.DeviceFor(p.Qubits, 3, ti.Line)
-		if err != nil {
-			t.Fatalf("%s: DeviceFor: %v", p.Name, err)
-		}
-		l := placeShuffled(t, d, p.Qubits, r)
-		for _, window := range []int{1, 2, 3, 7, 64, 4096} {
-			streamChunkGates = window
-			checkStream(t, p.Name, p, l, streamLats(1.9, 1.0))
-		}
 	}
 }
 

@@ -38,53 +38,45 @@ type Timeline struct {
 	NumChains int `json:"num_chains"`
 }
 
-// BuildTimeline computes the ASAP schedule of a placed circuit.
+// BuildTimeline computes the ASAP schedule of a placed circuit: the
+// finish-time kernel's per-gate start (the moment the gate's operands are
+// ready) and finish, over a pooled binding.
 func BuildTimeline(c *circuit.Circuit, l *ti.Layout, lat Latencies) (*Timeline, error) {
 	if err := lat.Validate(); err != nil {
 		return nil, err
 	}
-	if c.NumQubits() > l.NumQubits() {
-		return nil, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", c.NumQubits(), l.NumQubits())
+	b, err := BindCircuitScratch(c, l)
+	if err != nil {
+		return nil, err
 	}
-	labels := c.Labels()
-	tl := &Timeline{NumChains: l.Device().NumChains()}
-	last := make([]int, c.NumQubits())
-	for i := range last {
-		last[i] = -1
+	n := c.NumGates()
+	k := newKernel(1, c.NumQubits())
+	k.classTables([]Latencies{lat}, false)
+	k.spans = make([][2]float64, n)
+	b.run(k, nil, false)
+	spans := k.spans
+	tl := &Timeline{NumChains: l.Device().NumChains(), Makespan: k.total[0]}
+	k.release()
+	RecycleEvaluator(b.ev)
+	if n > 0 {
+		tl.Intervals = make([]Interval, n)
 	}
-	finish := make([]float64, c.NumGates())
-	for _, g := range c.Gates() {
-		ready := 0.0
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
-		d := lat.GateLatency(g, l)
-		finish[g.ID] = ready + d
-		for _, q := range g.Qubits {
-			last[q] = g.ID
-		}
+	for i, label := range c.Labels() {
+		g := c.Gate(i)
 		chains := make([]int, 0, 2)
-		seen := map[int]bool{}
 		for _, q := range g.Qubits {
-			ch := l.ChainOf(q)
-			if !seen[ch] {
-				seen[ch] = true
+			if ch := l.ChainOf(q); len(chains) == 0 || chains[0] != ch {
 				chains = append(chains, ch)
 			}
 		}
 		sort.Ints(chains)
-		tl.Intervals = append(tl.Intervals, Interval{
-			GateID: g.ID,
-			Label:  labels[g.ID],
-			Start:  ready,
-			Finish: finish[g.ID],
+		tl.Intervals[i] = Interval{
+			GateID: i,
+			Label:  label,
+			Start:  spans[i][0],
+			Finish: spans[i][1],
 			Chains: chains,
 			Weak:   len(chains) > 1,
-		})
-		if finish[g.ID] > tl.Makespan {
-			tl.Makespan = finish[g.ID]
 		}
 	}
 	return tl, nil

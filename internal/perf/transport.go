@@ -1,6 +1,6 @@
 package perf
 
-// This file is the pricing kernel of the shuttle timing backend. Where
+// This file prices the shuttle timing backend. Where
 // the weak-link model charges a cross-chain gate a flat α·γ, the shuttle
 // model charges what the QCCD hardware actually does: split the ion out
 // of its chain, move it one weak-link segment per hop toward the target
@@ -8,8 +8,8 @@ package perf
 // γ. The per-gate paths are layout-dependent but latency-independent, so
 // they are attached to the Binding once (AttachTransport, the backend's
 // Prepare hook); TimeTransport/TimeTransportAll then price any number of
-// timing models against the attached plan with the same multi-lane,
-// pooled-scratch shape as Binding.TimeAll.
+// timing models against the attached plan through the finish-time kernel
+// (kernel.go), whose transport hook each weak gate's segments feed.
 //
 // Contention: two concurrent transports cannot occupy one inter-chain
 // segment, so the kernel serializes them — each segment tracks a
@@ -90,31 +90,13 @@ func (b *Binding) AttachTransport(l *ti.Layout) error {
 		b.transport = tp
 		return nil
 	}
-	nc := d.NumChains()
-	chainOf := l.ChainAssignments()
-	// Paths are cached per canonical (min, max) chain pair: PathLinks'
-	// tie-breaking is direction-dependent, so canonicalizing keeps the
-	// priced path independent of operand order within a gate.
-	paths := make([][]int32, nc*nc)
+	paths := newSegmentPaths(l)
 	segIDs := make([]int32, 0, b.weak)
 	for i := 0; i < e.n; i++ {
 		if b.classes[i] == ClassTwoQWeak {
-			lo, hi := chainOf[e.qa[i]], chainOf[e.qb[i]]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			p := paths[lo*nc+hi]
-			if p == nil {
-				links := d.PathLinks(lo, hi)
-				if len(links) == 0 {
-					return verr.Inputf("perf: qubits q%d and q%d sit on disconnected chains %d and %d; no shuttle path exists",
-						e.qa[i], e.qb[i], chainOf[e.qa[i]], chainOf[e.qb[i]])
-				}
-				p = make([]int32, len(links))
-				for k, wl := range links {
-					p[k] = int32(wl.ID)
-				}
-				paths[lo*nc+hi] = p
+			p, err := paths.between(int(e.qa[i]), int(e.qb[i]))
+			if err != nil {
+				return err
 			}
 			segIDs = append(segIDs, p...)
 		}
@@ -125,16 +107,45 @@ func (b *Binding) AttachTransport(l *ti.Layout) error {
 	return nil
 }
 
-// growBusy sizes and zeroes the per-(segment, lane) busy-until table.
-func (s *sweepScratch) growBusy(n int) []float64 {
-	if cap(s.busy) < n {
-		s.busy = make([]float64, n)
+// segmentPaths caches the weak-link path between each unordered chain
+// pair of one layout. Paths are keyed by the canonical (min, max) pair:
+// PathLinks' tie-breaking is direction-dependent, so canonicalizing keeps
+// the priced path independent of operand order within a gate.
+type segmentPaths struct {
+	d       *ti.Device
+	chainOf []int
+	nc      int
+	paths   [][]int32
+}
+
+func newSegmentPaths(l *ti.Layout) *segmentPaths {
+	d := l.Device()
+	nc := d.NumChains()
+	return &segmentPaths{d: d, chainOf: l.ChainAssignments(), nc: nc, paths: make([][]int32, nc*nc)}
+}
+
+// between returns the weak-link segments a transport between qubits qa
+// and qb crosses. Operands on disconnected chains are an impossible
+// circuit for the device: a typed input error, never a fabricated cost.
+func (sp *segmentPaths) between(qa, qb int) ([]int32, error) {
+	lo, hi := sp.chainOf[qa], sp.chainOf[qb]
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	s.busy = s.busy[:n]
-	for i := range s.busy {
-		s.busy[i] = 0
+	p := sp.paths[lo*sp.nc+hi]
+	if p == nil {
+		links := sp.d.PathLinks(lo, hi)
+		if len(links) == 0 {
+			return nil, verr.Inputf("perf: qubits q%d and q%d sit on disconnected chains %d and %d; no shuttle path exists",
+				qa, qb, sp.chainOf[qa], sp.chainOf[qb])
+		}
+		p = make([]int32, len(links))
+		for k, wl := range links {
+			p[k] = int32(wl.ID)
+		}
+		sp.paths[lo*sp.nc+hi] = p
 	}
-	return s.busy
+	return p, nil
 }
 
 // TimeTransport prices the binding under one timing model with the
@@ -167,128 +178,8 @@ func (b *Binding) TimeTransportAll(costs TransportCosts, lats []Latencies) ([]Re
 	if err := costs.Validate(); err != nil {
 		return nil, err
 	}
-	nl := len(lats)
-	if nl == 0 {
+	if len(lats) == 0 {
 		return nil, fmt.Errorf("perf: TimeTransportAll requires at least one timing model")
 	}
-	for _, lat := range lats {
-		if err := lat.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	e := b.ev
-	w := b.links
-	if w > e.twoQGates {
-		w = e.twoQGates
-	}
-	// local[j] is lats[j] with the weak penalty neutralized: transport
-	// replaces α, so weak gates run at 1·γ and the serial bound charges
-	// the same.
-	results := make([]Result, nl)
-	luts := make([][numClasses]float64, nl)
-	for j, lat := range lats {
-		local := lat
-		local.WeakPenalty = 1
-		luts[j] = classLatencies(local)
-		results[j] = Result{
-			SerialMicros: SerialTimeFromCounts(e.oneQGates, e.twoQGates, w, local),
-			WeakGates:    b.weak,
-			LinksUsed:    b.links,
-		}
-	}
-	if e.n == 0 {
-		return results, nil
-	}
-
-	fixed := costs.SplitMicros + costs.MergeMicros + costs.RecoolMicros
-	s := sweepPool.Get().(*sweepScratch)
-	s.grow(e.n*nl, e.c.NumQubits())
-	busy := s.growBusy(tp.numSegs * nl)
-	finish, prev, last := s.finish, s.prev, s.last
-
-	serial := make([]float64, nl)
-	total := make([]float64, nl)
-	best := make([]int32, nl)
-	transportTotal := 0.0
-
-	for i := 0; i < e.n; i++ {
-		p0 := last[e.qa[i]]
-		p1 := int32(-1)
-		if qb := e.qb[i]; qb >= 0 {
-			p1 = last[qb]
-		}
-		class := b.classes[i]
-		var segs []int32
-		over := 0.0
-		if class == ClassTwoQWeak {
-			segs = tp.segIDs[tp.segStart[i]:tp.segStart[i+1]]
-			over = fixed + float64(len(segs))*costs.MovePerHopMicros
-			transportTotal += over
-		}
-		base := i * nl
-		for j := 0; j < nl; j++ {
-			ready := 0.0
-			pr := int32(-1)
-			if p0 >= 0 && finish[int(p0)*nl+j] > ready {
-				ready = finish[int(p0)*nl+j]
-				pr = p0
-			}
-			if p1 >= 0 && finish[int(p1)*nl+j] > ready {
-				ready = finish[int(p1)*nl+j]
-				pr = p1
-			}
-			d := luts[j][class]
-			start := ready
-			if over > 0 {
-				// Junction contention: the transport cannot enter a segment
-				// before the previous transport through it has cleared, and
-				// it holds every segment on its path until it completes.
-				// Zero-overhead transports reserve nothing — they occupy no
-				// segment for any duration, and skipping the busy table is
-				// what keeps the zero-cost backend identical to weak-link.
-				for _, sg := range segs {
-					if v := busy[int(sg)*nl+j]; v > start {
-						start = v
-					}
-				}
-			}
-			tEnd := start + over
-			if over > 0 {
-				for _, sg := range segs {
-					busy[int(sg)*nl+j] = tEnd
-				}
-			}
-			f := tEnd + d
-			finish[base+j] = f
-			prev[base+j] = pr
-			serial[j] += over + d
-			if f > total[j] {
-				total[j] = f
-				best[j] = int32(i)
-			}
-		}
-		last[e.qa[i]] = int32(i)
-		if qb := e.qb[i]; qb >= 0 {
-			last[qb] = int32(i)
-		}
-	}
-
-	labels := e.Labels()
-	for j := 0; j < nl; j++ {
-		results[j].SerialMicros += transportTotal
-		results[j].SerialPerGateMicros = serial[j]
-		results[j].ParallelMicros = total[j]
-		depth := 0
-		for at := best[j]; at != -1; at = prev[int(at)*nl+j] {
-			depth++
-		}
-		path := make([]string, depth)
-		for at := best[j]; at != -1; at = prev[int(at)*nl+j] {
-			depth--
-			path[depth] = labels[at]
-		}
-		results[j].CriticalPath = path
-	}
-	sweepPool.Put(s)
-	return results, nil
+	return b.timeAll(lats, tp, costs)
 }

@@ -140,13 +140,18 @@ func Compare(c *circuit.Circuit, l *ti.Layout, lat perf.Latencies, p Params) (Re
 		}
 		shuttleLat[gates[i].ID] = v
 	}
+	b, err := perf.BindCircuitScratch(c, l)
+	if err != nil {
+		return Result{}, err
+	}
 	byID := func(g circuit.Gate) float64 { return shuttleLat[g.ID] }
 	res := Result{
-		WeakLinkMicros:      perf.ParallelTime(c, l, lat),
-		ShuttleMicros:       perf.ParallelTimeFunc(c, byID),
+		WeakLinkMicros:      b.ParallelTime(lat),
+		ShuttleMicros:       b.ParallelTimeTable(shuttleLat),
 		ShuttleSerialMicros: perf.SerialTimeFunc(c, byID),
-		CrossGates:          perf.WeakGates(c, l),
+		CrossGates:          b.WeakGates(),
 	}
+	perf.RecycleEvaluator(b.Evaluator())
 	return res, nil
 }
 
