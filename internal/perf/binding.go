@@ -43,8 +43,8 @@ const (
 const NumGateClasses = int(numClasses)
 
 // Binding is the layout-dependent but latency-independent artifact of one
-// (circuit, layout) pair: per-gate latency classes over the evaluator's CSR
-// arrays, plus the weak-gate and links-used counts. A Binding is immutable
+// (circuit, layout) pair: per-gate latency classes over the evaluator's
+// operand tables, plus the weak-gate and links-used counts. A Binding is immutable
 // after construction and safe for concurrent use, so sweep engines share
 // one across α cells and worker goroutines.
 type Binding struct {
@@ -312,7 +312,8 @@ func (b *Binding) ParallelTimeAll(lats []Latencies, dst []float64) []float64 {
 }
 
 // ParallelTimeTable prices the makespan with an arbitrary per-gate latency
-// table — latency[i] is gate i's latency — instead of a timing model: the
+// table — latency[i] is gate i's latency, one entry per bound gate —
+// instead of a timing model: the
 // hook alternative communication substrates (internal/shuttle's transport
 // comparison) price their cost models through.
 func (b *Binding) ParallelTimeTable(latency []float64) float64 {

@@ -163,11 +163,9 @@ func (k *kernel) gate(i, qa, qb int32, idx int, segs []int32) {
 	}
 	serial, total, best := k.serial[:nl], k.total[:nl], k.best[:nl]
 	for j := range serial {
-		ready, pr := 0.0, pa
+		ready, pr := 0.0, int32(-1)
 		if v := fa[j]; v > ready {
-			ready = v
-		} else {
-			pr = -1
+			ready, pr = v, pa
 		}
 		if fb != nil {
 			if v := fb[j]; v > ready {
