@@ -184,6 +184,12 @@ func checkKernelInput(t *testing.T, in kernelInput) {
 	if err != nil || !reflect.DeepEqual(streamed, stripPaths(rs)) || st.Fingerprint != c.Fingerprint() {
 		t.Fatalf("StreamTimeAll diverges (%v):\n got %+v\nwant %+v", err, streamed, stripPaths(rs))
 	}
+	if viaBackend, err := (WeakLink{}).TimeAll(b, lats); err != nil || !reflect.DeepEqual(viaBackend, rs) {
+		t.Fatalf("WeakLink.TimeAll diverges (%v)", err)
+	}
+	if viaBackend, _, err := (WeakLink{}).StreamTimeAll(c.Source(), l, lats); err != nil || !reflect.DeepEqual(viaBackend, streamed) {
+		t.Fatalf("WeakLink.StreamTimeAll diverges (%v)", err)
+	}
 
 	if err := b.AttachTransport(l); err != nil {
 		t.Fatal(err)
